@@ -85,6 +85,7 @@ type Bucket struct {
 	credit     float64
 	last       time.Time // instant credit was last brought current
 	lazy       bool      // apply elapsed refill on every interaction
+	def        bool      // built from the default rule; fixed at construction
 }
 
 // Option configures a Bucket.
@@ -93,6 +94,11 @@ type Option func(*Bucket)
 // WithTickRefill disables lazy refill; credit then only grows when Refill is
 // called (housekeeping-thread discipline).
 func WithTickRefill() Option { return func(b *Bucket) { b.lazy = false } }
+
+// WithDefaultRule marks the bucket as built from the default rule (paper
+// §II-D) rather than from a database rule for its key. The mark never
+// changes: a key that gains a database rule gets a new bucket.
+func WithDefaultRule() Option { return func(b *Bucket) { b.def = true } }
 
 // New creates a bucket from a rule. If the rule carries no explicit credit
 // and was not loaded from a checkpoint, pass rule.Credit = rule.Capacity for
@@ -256,6 +262,12 @@ func (b *Bucket) ReservedRate() float64 {
 	defer b.mu.Unlock()
 	return b.reserved
 }
+
+// Default reports whether the bucket was built from the default rule (see
+// WithDefaultRule). The mark is immutable, so no lock is taken.
+//
+//janus:hotpath
+func (b *Bucket) Default() bool { return b.def }
 
 // Capacity returns the bucket capacity C.
 func (b *Bucket) Capacity() float64 {

@@ -133,6 +133,22 @@ func TestTickRefillOnlyOnRefill(t *testing.T) {
 	}
 }
 
+func TestDefaultRuleMark(t *testing.T) {
+	if NewFull("k", 1, 1, t0).Default() {
+		t.Fatal("bucket without WithDefaultRule reports Default")
+	}
+	b := NewFull("k", 1, 1, t0, WithDefaultRule(), WithTickRefill())
+	if !b.Default() {
+		t.Fatal("WithDefaultRule bucket does not report Default")
+	}
+	// The mark survives every mutation: only a new bucket changes it.
+	b.Update(5, 5, t0)
+	b.SetCredit(0, t0)
+	if !b.Default() {
+		t.Fatal("default mark lost after Update/SetCredit")
+	}
+}
+
 func TestClockBackwardsDoesNotInflate(t *testing.T) {
 	b := NewFull("k", 100, 100, t0)
 	for i := 0; i < 100; i++ {

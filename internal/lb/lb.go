@@ -52,9 +52,6 @@ type Config struct {
 	// HopDelay, when non-nil, is invoked once per proxied request and may
 	// sleep to model the extra network hop of a hardware appliance.
 	HopDelay func()
-	// MaxRetries bounds how many distinct back ends are tried per request
-	// when one fails (default: all).
-	MaxRetries int
 	// Logger receives operational messages; nil discards.
 	Logger *log.Logger
 	// Registry receives the LB's counters and latency histogram for
@@ -271,16 +268,11 @@ func (l *LB) proxy(w http.ResponseWriter, req *http.Request) {
 			req.Header.Set(trace.Header, trace.FormatID(tid))
 		}
 	}
-	maxTries := l.cfg.MaxRetries
-	if maxTries <= 0 {
-		maxTries = len(l.Backends())
-		if maxTries == 0 {
-			maxTries = 1
-		}
-	}
-	skip := make(map[*backendState]bool, maxTries)
+	// Try each back end at most once: pick returns nil once every back end
+	// is in the skip set, which is allocated only after a first failure.
+	var skip map[*backendState]bool
 	var lastErr error
-	for try := 0; try < maxTries; try++ {
+	for try := 0; ; try++ {
 		b := l.pick(skip)
 		if b == nil {
 			break
@@ -289,6 +281,9 @@ func (l *LB) proxy(w http.ResponseWriter, req *http.Request) {
 		if err != nil {
 			lastErr = err
 			l.backendErrors.Inc()
+			if skip == nil {
+				skip = make(map[*backendState]bool)
+			}
 			skip[b] = true
 			continue
 		}

@@ -27,7 +27,9 @@ func encodeFrame(t *testing.F, f haFrame) []byte {
 // entries to a live server. Two properties must hold for every input:
 // decoding never panics, and no applied entry can leave a bucket whose
 // credit exceeds its capacity — the leaky-bucket invariant a corrupt or
-// malicious replication peer must not be able to break.
+// malicious replication peer must not be able to break. The bucket a key
+// ends up with also carries the default mark of the last valid entry for
+// that key.
 func FuzzHAFrameDecode(f *testing.F) {
 	now := time.Unix(1700000000, 0)
 	srv, err := New(Config{
@@ -72,6 +74,12 @@ func FuzzHAFrameDecode(f *testing.F) {
 		}
 		srv.applyHandoff(entries)
 		probe := now.Add(time.Hour) // force a refill advance as well
+		wantDefault := make(map[string]bool)
+		for _, e := range entries {
+			if e.Rule.Validate() == nil {
+				wantDefault[e.Rule.Key] = e.Default
+			}
+		}
 		for _, e := range entries {
 			b := srv.Table().Get(e.Rule.Key)
 			if b == nil {
@@ -82,11 +90,14 @@ func FuzzHAFrameDecode(f *testing.F) {
 				t.Fatalf("entry %+v installed bucket with credit %v > capacity %v",
 					e.Rule, credit, capacity)
 			}
+			if want, ok := wantDefault[e.Rule.Key]; ok && b.Default() != want {
+				t.Fatalf("key %q: bucket Default() = %v, want %v from the last valid entry",
+					e.Rule.Key, b.Default(), want)
+			}
 		}
 		// Reset so state cannot accumulate across iterations.
 		for _, e := range entries {
 			srv.Table().Delete(e.Rule.Key)
-			srv.defaults.Delete(e.Rule.Key)
 		}
 	})
 }

@@ -155,8 +155,7 @@ func (s *Server) snapshotTable() []haEntry {
 	now := s.clock()
 	var out []haEntry
 	s.table.Range(func(key string, b *bucket.Bucket) bool {
-		_, isDefault := s.defaults.Load(key)
-		out = append(out, haEntry{Rule: b.Rule(key, now), Default: isDefault})
+		out = append(out, haEntry{Rule: b.Rule(key, now), Default: b.Default()})
 		return true
 	})
 	return out
@@ -179,12 +178,7 @@ func (s *Server) applySnapshot(entries []haEntry) {
 		if e.Rule.Validate() != nil {
 			continue
 		}
-		s.table.Put(e.Rule.Key, s.newBucket(e.Rule, now))
-		if e.Default {
-			s.defaults.Store(e.Rule.Key, struct{}{})
-		} else {
-			s.defaults.Delete(e.Rule.Key)
-		}
+		s.install(e.Rule, e.Default, now)
 	}
 }
 

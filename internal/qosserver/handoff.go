@@ -59,8 +59,7 @@ func (s *Server) Rebalance(owner func(key string) string) (int, error) {
 		if addr == "" {
 			return true
 		}
-		_, isDefault := s.defaults.Load(key)
-		groups[addr] = append(groups[addr], haEntry{Rule: b.Rule(key, now), Default: isDefault})
+		groups[addr] = append(groups[addr], haEntry{Rule: b.Rule(key, now), Default: b.Default()})
 		return true
 	})
 	moved := 0
@@ -77,9 +76,7 @@ func (s *Server) Rebalance(owner func(key string) string) (int, error) {
 			// The key has a new owner; any lease carved from this bucket must
 			// die with it (epoch scoping at the router catches the same case,
 			// but the reserved rate has to be returned here regardless).
-			s.revokeLeases(e.Rule.Key)
-			s.table.Delete(e.Rule.Key)
-			s.defaults.Delete(e.Rule.Key)
+			s.evict(e.Rule.Key)
 		}
 		events.Record("qosserver", "handoff-push", addr, float64(len(entries)))
 		moved += len(entries)
@@ -149,19 +146,21 @@ func (s *Server) applyHandoffEntries(entries []haEntry) {
 		if e.Rule.Validate() != nil {
 			continue
 		}
-		if b := s.table.Get(e.Rule.Key); b != nil &&
-			b.RefillRate() == e.Rule.RefillRate && b.Capacity() == e.Rule.Capacity {
-			if cur := b.Credit(now); e.Rule.Credit < cur {
-				b.SetCredit(e.Rule.Credit, now)
+		r := e.Rule
+		if b := s.table.Get(r.Key); b != nil &&
+			b.RefillRate() == r.RefillRate && b.Capacity() == r.Capacity {
+			cur := b.Credit(now)
+			if b.Default() == e.Default {
+				if r.Credit < cur {
+					b.SetCredit(r.Credit, now)
+				}
+				continue
 			}
-		} else {
-			s.revokeLeases(e.Rule.Key)
-			s.table.Put(e.Rule.Key, s.newBucket(e.Rule, now))
+			// Same geometry, other default mark: the mark lives in the
+			// bucket, so take the incoming mark on a new bucket that keeps
+			// the min-merged credit.
+			r.Credit = min(r.Credit, cur)
 		}
-		if e.Default {
-			s.defaults.Store(e.Rule.Key, struct{}{})
-		} else {
-			s.defaults.Delete(e.Rule.Key)
-		}
+		s.install(r, e.Default, now)
 	}
 }

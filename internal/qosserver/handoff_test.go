@@ -145,18 +145,20 @@ func TestRebalanceGeometryChangeInstallsWholesale(t *testing.T) {
 func TestRebalanceDefaultFlagTravels(t *testing.T) {
 	src := newHandoffServer(t) // no rules: every key is served by the default rule
 	dst := newHandoffServer(t)
-	src.Decide(wire.Request{Key: "ghost", Cost: 1})
-	if _, isDefault := src.defaults.Load("ghost"); !isDefault {
-		t.Fatal("precondition: ghost not a default key")
+	if st := src.Decide(wire.Request{Key: "ghost", Cost: 1}).Status; st != wire.StatusDefaultRule {
+		t.Fatalf("precondition: ghost status = %v, want default-rule", st)
 	}
 	if moved, err := src.Rebalance(func(string) string { return dst.ReplicationAddr() }); err != nil || moved != 1 {
 		t.Fatalf("moved = %d err = %v", moved, err)
 	}
-	if _, isDefault := dst.defaults.Load("ghost"); !isDefault {
+	if b := dst.Table().Get("ghost"); b == nil || !b.Default() {
 		t.Fatal("default flag lost in handoff")
 	}
-	if _, stillThere := src.defaults.Load("ghost"); stillThere {
-		t.Fatal("default flag not cleared on source")
+	if st := dst.Decide(wire.Request{Key: "ghost", Cost: 1}).Status; st != wire.StatusDefaultRule {
+		t.Fatalf("new owner answers ghost with %v, want default-rule", st)
+	}
+	if src.Table().Get("ghost") != nil {
+		t.Fatal("ghost not evicted from the source")
 	}
 }
 

@@ -7,18 +7,14 @@ package qosserver
 // global serialization points, and BENCH_batching showed the hop is
 // syscall-dominated. The intake is now N independent slices — each owns a
 // listener socket bound to the same UDP address with SO_REUSEPORT, a
-// private FIFO, a private CoDel controller, and a private worker pool — so
-// the hot path is share-nothing from the receive syscall to the bucket
-// shard: the kernel spreads inbound flows across the sockets by flow hash,
-// and nothing on the per-datagram path is touched by two intakes.
+// private FIFO, a private CoDel controller, and a private worker pool. The
+// kernel spreads inbound datagrams across the sockets by flow hash, so the
+// receive syscall, the queue, the sojourn clock, and the shedding decision
+// are per intake.
 //
-// Alignment with the bucket table: when the server runs more than one
-// intake over the sharded table, the table is built with one shard GROUP
-// per intake (table.NewShardedAligned) and each intake's housekeeping
-// stripe refills only its own groups — the maintenance plane is partitioned
-// exactly like the receive plane. Cross-shard key movement — handoff,
-// lease revocation, rule-sync churn — keeps using the table's slow path
-// (Range/Put/Delete), which is group-oblivious by design.
+// The bucket table is shared: a worker's decision touches whichever shard
+// the key hashes to, whatever intake the datagram arrived on, and tick
+// refill is one housekeeping pass over the whole table.
 //
 // Portability: SO_REUSEPORT with per-socket load balancing is Linux
 // semantics. When the control hook fails — non-Linux build, exotic kernel,

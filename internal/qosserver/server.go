@@ -57,11 +57,11 @@ type Config struct {
 	// the intakes, at least one per intake.
 	Workers int
 	// Listeners is the number of SO_REUSEPORT intake sockets, each owning a
-	// private FIFO, CoDel controller, and worker pool so the receive path
-	// is share-nothing from syscall to bucket shard (DESIGN.md §14). 0 or 1
-	// selects the single-socket intake; larger values require SO_REUSEPORT
-	// (Linux) and fall back to one socket — logged, not fatal — when the
-	// control hook fails.
+	// private FIFO, CoDel controller, and worker pool, so receiving,
+	// queueing, and shedding are per socket (DESIGN.md §14); decisions share
+	// the one bucket table. 0 or 1 selects the single-socket intake; larger
+	// values require SO_REUSEPORT (Linux) and fall back to one socket —
+	// logged, not fatal — when the control hook fails.
 	Listeners int
 	// QueueSize is the per-intake FIFO capacity between listener and
 	// workers.
@@ -166,11 +166,7 @@ type Stats struct {
 type Server struct {
 	cfg   Config
 	table table.Table
-	// aligned is the group-aligned view of table when the sharded intake
-	// is active (nil otherwise): one bucket-shard group per intake, so the
-	// refill plane partitions exactly like the receive plane.
-	aligned *table.Sharded
-	clock   func() time.Time
+	clock func() time.Time
 
 	// intakes are the share-nothing receive slices (intake.go); intake 0's
 	// socket answers Addr(). reuseportFallback records that more than one
@@ -178,10 +174,6 @@ type Server struct {
 	// server degraded to the portable single socket.
 	intakes           []*intake
 	reuseportFallback bool
-
-	// defaults tracks keys served by the default rule, so responses carry
-	// StatusDefaultRule and checkpointing can skip them.
-	defaults keySet
 
 	decisionLatency *metrics.Histogram
 	batchSize       *metrics.Histogram
@@ -242,39 +234,6 @@ type packet struct {
 	recvNs int64
 }
 
-// keySet is a concurrent string set. It replaces sync.Map for the
-// default-rule bookkeeping because the membership check sits on the
-// per-decision hot path, and sync.Map's any-keyed Load would box the string
-// key — one heap allocation per admission. The two-value Load mirrors the
-// sync.Map shape so call sites read the same.
-type keySet struct {
-	mu sync.RWMutex
-	m  map[string]struct{}
-}
-
-//janus:hotpath
-func (ks *keySet) Load(key string) (struct{}, bool) {
-	ks.mu.RLock()
-	_, ok := ks.m[key]
-	ks.mu.RUnlock()
-	return struct{}{}, ok
-}
-
-func (ks *keySet) Store(key string, _ struct{}) {
-	ks.mu.Lock()
-	if ks.m == nil {
-		ks.m = make(map[string]struct{})
-	}
-	ks.m[key] = struct{}{}
-	ks.mu.Unlock()
-}
-
-func (ks *keySet) Delete(key string) {
-	ks.mu.Lock()
-	delete(ks.m, key)
-	ks.mu.Unlock()
-}
-
 // New starts a QoS server.
 func New(cfg Config) (*Server, error) {
 	conns, fallback, err := listenIntakes(cfg.Addr, cfg.Listeners)
@@ -333,23 +292,9 @@ func New(cfg Config) (*Server, error) {
 		intakes[i] = in
 	}
 
-	// With a sharded multi-listener intake, align the bucket table's shard
-	// groups to the listeners so the maintenance plane (refill stripes)
-	// partitions exactly like the receive plane. Cross-shard key movement
-	// (handoff, lease revoke, sync churn) stays on the table's slow path.
-	var tbl table.Table
-	var aligned *table.Sharded
-	if len(intakes) > 1 && cfg.TableKind != table.KindMutex {
-		aligned = table.NewShardedAligned(len(intakes), 0)
-		tbl = aligned
-	} else {
-		tbl = table.New(cfg.TableKind)
-	}
-
 	s := &Server{
 		cfg:               cfg,
-		table:             tbl,
-		aligned:           aligned,
+		table:             table.New(cfg.TableKind),
 		clock:             clock,
 		intakes:           intakes,
 		reuseportFallback: fallback,
@@ -437,18 +382,8 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.RefillInterval > 0 {
-		if s.aligned != nil {
-			// One refill stripe per intake: intake i sweeps shard groups
-			// i, i+N, i+2N, ... so no two stripes ever touch the same
-			// shard locks — maintenance aligned with the receive plane.
-			for _, in := range s.intakes {
-				s.wg.Add(1)
-				go s.housekeepingStripe(in.id)
-			}
-		} else {
-			s.wg.Add(1)
-			go s.housekeeping()
-		}
+		s.wg.Add(1)
+		go s.housekeeping()
 	}
 	if cfg.SyncInterval > 0 && cfg.Store != nil {
 		s.wg.Add(1)
@@ -787,7 +722,7 @@ func (s *Server) Decide(req wire.Request) wire.Response {
 		//lint:ignore hotalloc first sight of a key installs its rule; every later decision hits the table
 		b = s.installRule(req.Key, now)
 	}
-	if _, isDefault := s.defaults.Load(req.Key); isDefault {
+	if b.Default() {
 		status = wire.StatusDefaultRule
 		s.defaultHit.Inc()
 	}
@@ -823,27 +758,45 @@ func (s *Server) Decide(req wire.Request) wire.Response {
 var fpAuditDoubleCredit = failpoint.New("qosserver/audit/double-credit")
 
 // installRule fetches the rule for key from the database (or applies the
-// default) and installs its bucket in the local table.
+// default) and installs its bucket in the local table. First sight goes
+// through GetOrCreate rather than install: concurrent first decisions on
+// one key must share one bucket, and a fresh key has no leases to revoke.
 func (s *Server) installRule(key string, now time.Time) *bucket.Bucket {
 	b, _ := s.table.GetOrCreate(key, func() *bucket.Bucket {
 		rule, isDefault := s.fetchRule(key)
-		if isDefault {
-			s.defaults.Store(key, struct{}{})
-		}
-		return s.newBucket(rule, now)
+		return s.newBucket(rule, isDefault, now)
 	})
 	return b
 }
 
-// newBucket builds a bucket honouring the configured refill discipline.
-// It is the single chokepoint for wholesale credit grants — first-sight
-// install, sync geometry change, handoff install, replication snapshot,
-// preload — so the audit ledger's Install hook lives here. (Min-merge
-// paths adjust existing buckets via SetCredit and grant nothing.)
-func (s *Server) newBucket(rule bucket.Rule, now time.Time) *bucket.Bucket {
+// install replaces key's bucket with a fresh one for rule — the one path
+// for every rule change after first sight (preload, sync, replication
+// snapshot, handoff). Leases reserve rate on the old bucket object, so they
+// are revoked before the swap: old and new refill streams never coexist.
+func (s *Server) install(rule bucket.Rule, isDefault bool, now time.Time) {
+	s.revokeLeases(rule.Key)
+	s.table.Put(rule.Key, s.newBucket(rule, isDefault, now))
+}
+
+// evict removes key's bucket (rule deleted, or key handed to a new owner);
+// the next decision for key re-resolves its rule.
+func (s *Server) evict(key string) {
+	s.revokeLeases(key)
+	s.table.Delete(key)
+}
+
+// newBucket builds a bucket honouring the configured refill discipline and
+// carrying the default-rule mark. It is the single chokepoint for
+// wholesale credit grants — first sight and install — so the audit
+// ledger's Install hook lives here. (Min-merge paths adjust existing
+// buckets via SetCredit and grant nothing.)
+func (s *Server) newBucket(rule bucket.Rule, isDefault bool, now time.Time) *bucket.Bucket {
 	var opts []bucket.Option
 	if s.cfg.RefillInterval > 0 {
 		opts = append(opts, bucket.WithTickRefill())
+	}
+	if isDefault {
+		opts = append(opts, bucket.WithDefaultRule())
 	}
 	credit := rule.Credit
 	if credit > rule.Capacity {
@@ -897,13 +850,12 @@ func (s *Server) Preload() error {
 	}
 	now := s.clock()
 	for _, r := range rules {
-		s.table.Put(r.Key, s.newBucket(r, now))
+		s.install(r, false, now)
 	}
 	return nil
 }
 
-// housekeeping refills all buckets at the configured interval (§III-C);
-// the single-intake path.
+// housekeeping refills all buckets at the configured interval (§III-C).
 func (s *Server) housekeeping() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.RefillInterval)
@@ -914,27 +866,6 @@ func (s *Server) housekeeping() {
 			return
 		case <-t.C:
 			s.table.RefillAll(s.clock())
-		}
-	}
-}
-
-// housekeepingStripe is intake id's refill stripe over the aligned table:
-// it sweeps shard groups id, id+N, id+2N, ... so concurrent stripes never
-// contend on a shard lock — the maintenance plane partitioned like the
-// receive plane.
-func (s *Server) housekeepingStripe(id int) {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.RefillInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-t.C:
-			now := s.clock()
-			for g := id; g < s.aligned.Groups(); g += len(s.intakes) {
-				s.aligned.RefillGroup(g, now)
-			}
 		}
 	}
 }
@@ -974,43 +905,23 @@ func (s *Server) SyncOnce() {
 		return true
 	})
 	for _, e := range entries {
-		if _, isDefault := s.defaults.Load(e.key); isDefault {
-			// A default key may have been added to the database since
-			// (a new purchase): install the database rule wholesale,
-			// including its initial credit.
-			r, found, err := s.cfg.Store.Get(e.key)
-			if err != nil {
-				s.dbErrors.Inc()
-				continue
-			}
-			if found {
-				s.defaults.Delete(e.key)
-				s.revokeLeases(e.key)
-				s.table.Put(e.key, s.newBucket(r, now))
-			}
-			continue
-		}
 		r, found, err := s.cfg.Store.Get(e.key)
 		if err != nil {
 			s.dbErrors.Inc()
 			continue
 		}
-		if !found {
+		switch {
+		case !found && !e.b.Default():
 			// Rule deleted: evict; next request applies the default rule.
-			s.revokeLeases(e.key)
-			s.table.Delete(e.key)
-			continue
-		}
-		// An edited rule (geometry changed) is installed wholesale with
-		// the database's latest values (§III-C), credit included — the
-		// user's new purchase takes effect immediately. An unchanged rule
-		// is left alone so the database's stale credit (last checkpoint)
-		// does not overwrite live consumption.
-		if r.RefillRate != e.b.RefillRate() || r.Capacity != e.b.Capacity() {
-			// Leases reserve rate on the old bucket object; revoke before
-			// the swap so old and new refill streams cannot coexist.
-			s.revokeLeases(e.key)
-			s.table.Put(e.key, s.newBucket(r, now))
+			s.evict(e.key)
+		case found && (e.b.Default() || r.RefillRate != e.b.RefillRate() || r.Capacity != e.b.Capacity()):
+			// A default key added to the database (a new purchase), or an
+			// edited rule, is installed wholesale with the database's latest
+			// values (§III-C), credit included — the purchase takes effect
+			// immediately. An unchanged rule is left alone so the database's
+			// stale credit (last checkpoint) does not overwrite live
+			// consumption.
+			s.install(r, false, now)
 		}
 	}
 	s.lastSyncNs.Store(s.clock().UnixNano())
@@ -1076,7 +987,7 @@ func (s *Server) CheckpointOnce() {
 	now := s.clock()
 	credits := make(map[string]float64)
 	s.table.Range(func(key string, b *bucket.Bucket) bool {
-		if _, isDefault := s.defaults.Load(key); !isDefault {
+		if !b.Default() {
 			credits[key] = b.Credit(now)
 		}
 		return true
@@ -1150,13 +1061,12 @@ func (s *Server) SnapshotBuckets(limit int) []BucketSnapshot {
 	now := s.clock()
 	var out []BucketSnapshot
 	s.table.Range(func(key string, b *bucket.Bucket) bool {
-		_, isDefault := s.defaults.Load(key)
 		row := BucketSnapshot{
 			Key:        key,
 			Credit:     b.Credit(now),
 			Capacity:   b.Capacity(),
 			RefillRate: b.RefillRate(),
-			Default:    isDefault,
+			Default:    b.Default(),
 		}
 		if s.leases != nil {
 			row.LeasedRate, row.LeaseHolders = s.leases.KeyLease(key)

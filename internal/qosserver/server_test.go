@@ -327,6 +327,61 @@ func TestPreload(t *testing.T) {
 	}
 }
 
+// TestPreloadReplacesDefaultBucket: a key first served by the default rule
+// and then preloaded from its new database rule answers from that rule, and
+// the next sync pass must not re-install it at full database credit.
+func TestPreloadReplacesDefaultBucket(t *testing.T) {
+	db := newDB(t)
+	s := newServer(t, Config{Store: db})
+	if st := s.Decide(wire.Request{Key: "k"}).Status; st != wire.StatusDefaultRule {
+		t.Fatalf("precondition: status = %v, want default-rule", st)
+	}
+	if err := db.Put(bucket.Rule{Key: "k", RefillRate: 0, Capacity: 10, Credit: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Preload(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if resp := s.Decide(wire.Request{Key: "k"}); !resp.Allow || resp.Status != wire.StatusOK {
+			t.Fatalf("request %d after preload: %+v", i, resp)
+		}
+	}
+	s.SyncOnce()
+	allowed := 0
+	for i := 0; i < 10; i++ {
+		if s.Decide(wire.Request{Key: "k"}).Allow {
+			allowed++
+		}
+	}
+	if allowed != 4 {
+		t.Fatalf("admitted %d after sync, want the 4 credits left of 10 (sync restored spent credit)", allowed)
+	}
+}
+
+// TestCheckpointBetweenPurchaseAndSync: a key served by the default rule
+// whose database rule appears before the next sync must not have the
+// default bucket's credit checkpointed over the purchased credit.
+func TestCheckpointBetweenPurchaseAndSync(t *testing.T) {
+	db := newDB(t)
+	s := newServer(t, Config{Store: db})
+	if resp := s.Decide(wire.Request{Key: "k"}); resp.Allow || resp.Status != wire.StatusDefaultRule {
+		t.Fatalf("precondition: resp = %+v, want default-rule deny", resp)
+	}
+	if err := db.Put(bucket.Rule{Key: "k", RefillRate: 0, Capacity: 10, Credit: 10}); err != nil {
+		t.Fatal(err)
+	}
+	s.CheckpointOnce()
+	s.SyncOnce()
+	b := s.Table().Get("k")
+	if b == nil || b.Default() {
+		t.Fatalf("sync did not install the database rule: %v", b)
+	}
+	if got := b.Credit(time.Now()); got != 10 {
+		t.Fatalf("credit = %v, want the purchased 10", got)
+	}
+}
+
 func TestFailOpenAndFailClosed(t *testing.T) {
 	// Use a store over a closed server so every query errors.
 	engine := minisql.NewEngine()

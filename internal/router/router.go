@@ -229,21 +229,29 @@ func (b *backend) getClient() (*transport.Client, error) {
 	return c, nil
 }
 
-// invalidate drops the cached client so the next request re-resolves; used
-// after a timeout, which is how the router notices a failover.
-func (b *backend) invalidate() {
+// invalidate drops c if it is still the cached client, so the next request
+// re-resolves; used after a timeout on c, which is how the router notices a
+// failover. It reports whether c was dropped. A late call for a client that
+// another request has already replaced leaves the fresh client alone:
+// closing it would fail every exchange in flight on it.
+func (b *backend) invalidate(c *transport.Client) bool {
 	b.mu.Lock()
-	if b.client != nil {
-		// The client is being abandoned after a timeout; its socket-close
-		// error has no one to report to.
-		_ = b.client.Close()
-		b.client = nil
+	defer b.mu.Unlock()
+	if c == nil || b.client != c {
+		return false
 	}
-	b.mu.Unlock()
+	// The client is being abandoned after a timeout; its socket-close error
+	// has no one to report to.
+	_ = c.Close()
+	b.client = nil
+	return true
 }
 
 func (b *backend) close() {
-	b.invalidate()
+	b.mu.Lock()
+	c := b.client
+	b.mu.Unlock()
+	b.invalidate(c)
 }
 
 // New starts a router node. It returns ErrNoBackends when cfg.Backends is
@@ -592,8 +600,9 @@ func (r *Router) route(qreq wire.Request) (wire.Response, routeInfo) {
 		r.timeouts.Inc()
 		// Drop the cached client so the next request re-resolves the
 		// backend name — after a DNS failover this lands on the new master.
-		b.invalidate()
-		r.redials.Inc()
+		if b.invalidate(client) {
+			r.redials.Inc()
+		}
 		return r.leaseFailed(qreq), info
 	}
 	// A completed wire exchange ends any default-reply episode.

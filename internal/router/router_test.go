@@ -360,6 +360,41 @@ func TestResolverFailoverOnTimeout(t *testing.T) {
 	}
 }
 
+// TestStaleInvalidateKeepsFreshClient: two exchanges on client A time out;
+// the first invalidation drops A and a request dials B; the second, late
+// invalidation of A must leave B open for the exchanges in flight on it.
+func TestStaleInvalidateKeepsFreshClient(t *testing.T) {
+	srv, err := transport.NewServer("127.0.0.1:0", func(req wire.Request) wire.Response {
+		return wire.Response{ID: req.ID, Allow: true, Status: wire.StatusOK}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	b := &backend{name: srv.Addr(), tcfg: tcfg}
+	t.Cleanup(b.close)
+	a, err := b.getClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b.invalidate(a) {
+		t.Fatal("invalidating the cached client reported no drop")
+	}
+	fresh, err := b.getClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh == a {
+		t.Fatal("getClient returned the invalidated client")
+	}
+	if b.invalidate(a) {
+		t.Fatal("stale invalidate dropped the fresh client")
+	}
+	if resp, err := fresh.Do(wire.Request{Key: "k", Cost: 1}); err != nil || !resp.Allow {
+		t.Fatalf("exchange on the fresh client after a stale invalidate: resp=%+v err=%v", resp, err)
+	}
+}
+
 func TestConcurrentHTTPClients(t *testing.T) {
 	qs := newBackend(t, bucket.Rule{Key: "k", RefillRate: 1e9, Capacity: 1e9, Credit: 1e9})
 	r := newRouter(t, Config{Backends: []string{qs.Addr()}})
